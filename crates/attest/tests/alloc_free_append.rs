@@ -3,43 +3,16 @@
 //! append time (the paper logs into pre-laid-out TEE buffers; batching rows
 //! on the heap would be both slower and a TEE-memory liability).
 //!
-//! A counting global allocator wraps the system allocator; after a warm-up
+//! A per-thread counting allocator wraps the system allocator; after a warm-up
 //! flush cycle has sized the encoder's buffers, a burst of appends —
 //! including the records' own construction — must allocate exactly nothing.
 
 use sbt_attest::{AuditLog, AuditRecord, DataRef, UArrayRef};
 use sbt_crypto::SigningKey;
 use sbt_types::PrimitiveKind;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: sbt_testalloc::CountingAllocator = sbt_testalloc::CountingAllocator;
 
 /// The steady-state record mix of a real pipeline: ingress, windowing,
 /// execution (two inputs, one output, no hints), periodic watermarks and
@@ -82,19 +55,19 @@ fn steady_state_append_allocates_nothing() {
         assert!(log.flush().is_some());
     }
 
-    // Measure several bursts and take the minimum: the counter is process
-    // global, so an unrelated allocation on a libtest harness thread could
-    // land inside one measured window. Encoder allocations, by contrast,
+    // Measure several bursts and take the minimum. The counter sees only
+    // this thread, so other tests cannot land in a measured window; the
+    // minimum still sheds one-off lazy initialisation. Encoder allocations
     // would show up in *every* burst — a single clean burst proves the
     // append path itself allocates nothing.
     let mut min_allocs = u64::MAX;
     for round in 2..7 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for i in 0..BURST {
-            append_mix(&mut log, round * BURST + i);
-        }
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        min_allocs = min_allocs.min(after - before);
+        let ((), allocs) = sbt_testalloc::count(|| {
+            for i in 0..BURST {
+                append_mix(&mut log, round * BURST + i);
+            }
+        });
+        min_allocs = min_allocs.min(allocs.count);
         log.flush().expect("burst flushes");
     }
     assert_eq!(
@@ -138,15 +111,16 @@ fn steady_state_large_segment_flush_allocates_nothing() {
     let mut min_allocs = u64::MAX;
     let mut record_count = 0;
     for round in 2..7 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for i in 0..CALLS {
-            append_mix(&mut log, round * CALLS + i);
-        }
-        let seg = log.flush().expect("measured burst flushes");
-        log.recycle(seg.compressed);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        min_allocs = min_allocs.min(after - before);
-        record_count = seg.record_count;
+        let (records, allocs) = sbt_testalloc::count(|| {
+            for i in 0..CALLS {
+                append_mix(&mut log, round * CALLS + i);
+            }
+            let seg = log.flush().expect("measured burst flushes");
+            log.recycle(seg.compressed);
+            seg.record_count
+        });
+        min_allocs = min_allocs.min(allocs.count);
+        record_count = records;
     }
     assert!(record_count > 12_000, "burst too small to call this the large-segment regime");
     assert_eq!(

@@ -1,10 +1,15 @@
 //! Criterion benchmarks for the remaining trusted primitives: grouped
 //! aggregation, top-k, filtering, joins and segmentation.
+//!
+//! The per-key order-statistic kernels are timed in two regimes: large
+//! groups (200 events per key) and the TopK benchmark's window shape
+//! (2 500 events over 1 000 keys), where most groups are smaller than K and
+//! per-group overhead, not ranking, dominates.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sbt_primitives::{
-    filter_band, join_by_key, segment_by_window, sort_events_by_key, sum_count_per_key,
-    top_k_per_key, unique_keys,
+    filter_band, join_by_key, median_per_key, segment_by_window, sort_events_by_key,
+    sum_count_per_key, top_k_per_key, unique_keys,
 };
 use sbt_types::{Duration, Event, WindowSpec};
 
@@ -30,9 +35,21 @@ fn bench_grouped(c: &mut Criterion) {
     group.bench_function("sum_count_per_key", |b| b.iter(|| sum_count_per_key(&sorted)));
     group.bench_function("unique_keys", |b| b.iter(|| unique_keys(&sorted)));
     group.bench_function("top_k_per_key_k10", |b| b.iter(|| top_k_per_key(&sorted, 10)));
+    group.bench_function("median_per_key", |b| b.iter(|| median_per_key(&sorted)));
     group.bench_function("groupby_end_to_end", |b| {
         b.iter(|| sum_count_per_key(&sort_events_by_key(&events)))
     });
+    group.finish();
+}
+
+fn bench_small_groups(c: &mut Criterion) {
+    let mut group = c.benchmark_group("grouped_primitives_topk_window");
+    group.sample_size(10);
+    let n = 2_500;
+    let sorted = sort_events_by_key(&make_events(n, 1_000));
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_function("top_k_per_key_k10", |b| b.iter(|| top_k_per_key(&sorted, 10)));
+    group.bench_function("median_per_key", |b| b.iter(|| median_per_key(&sorted)));
     group.finish();
 }
 
@@ -60,5 +77,5 @@ fn bench_join(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_grouped, bench_scans, bench_join);
+criterion_group!(benches, bench_grouped, bench_small_groups, bench_scans, bench_join);
 criterion_main!(benches);

@@ -1403,9 +1403,7 @@ impl DataPlane {
                 out.push((StoredData::from_scalars(self.next_id(), &[m], pager)?, None));
             }
             PrimitiveKind::MedianPerKey => {
-                let med = prim::median_per_key(one_events(0)?);
-                let pairs: Vec<KeyValue> =
-                    med.iter().map(|(k, v)| KeyValue::new(*k, *v as u64)).collect();
+                let pairs = prim::median_per_key(one_events(0)?);
                 out.push((StoredData::from_pairs(self.next_id(), &pairs, pager)?, None));
             }
             PrimitiveKind::MinMax => {
@@ -1434,12 +1432,7 @@ impl DataPlane {
                     PrimitiveParams::K(k) => *k,
                     _ => return Err(DataPlaneError::BadArguments("TopKPerKey needs K")),
                 };
-                let mut pairs = Vec::new();
-                for (key, values) in prim::top_k_per_key(one_events(0)?, k) {
-                    for v in values {
-                        pairs.push(KeyValue::new(key, v as u64));
-                    }
-                }
+                let pairs = prim::top_k_per_key(one_events(0)?, k);
                 out.push((StoredData::from_pairs(self.next_id(), &pairs, pager)?, None));
             }
             PrimitiveKind::FilterBand => {

@@ -20,41 +20,10 @@ use sbt_crypto::{AesCtr, MasterSecret};
 use sbt_dataplane::{DataPlane, DataPlaneConfig, IngestPool};
 use sbt_types::{Event, PowerEvent, TenantId};
 use sbt_tz::{Platform, PlatformConfig, World, WorldGuard};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: sbt_testalloc::CountingAllocator = sbt_testalloc::CountingAllocator;
 
 /// A real-threads pool: one OS thread per lane task. Exercises the actual
 /// concurrency of the disjoint-writer path without depending on the
@@ -378,15 +347,12 @@ fn steady_state_sub_batching_is_allocation_free() {
     for (slot, &n) in SIZES.iter().enumerate() {
         for round in 0..8u32 {
             let payload = make_payload(n, 100 + round);
-            let count_before = ALLOCATIONS.load(Ordering::Relaxed);
-            let bytes_before = ALLOCATED_BYTES.load(Ordering::Relaxed);
-            let out =
+            let (out, allocs) = sbt_testalloc::count(|| {
                 in_tee(|| dp.ingress_arc_for(TenantId::DEFAULT, Arc::new(payload), true, false, 0))
-                    .unwrap();
-            let count = ALLOCATIONS.load(Ordering::Relaxed) - count_before;
-            let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes_before;
-            count_per_size[slot] = count_per_size[slot].min(count);
-            bytes_per_size[slot] = bytes_per_size[slot].min(bytes);
+            });
+            let out = out.unwrap();
+            count_per_size[slot] = count_per_size[slot].min(allocs.count);
+            bytes_per_size[slot] = bytes_per_size[slot].min(allocs.bytes);
             in_tee(|| dp.retire(out.opaque)).unwrap();
         }
     }

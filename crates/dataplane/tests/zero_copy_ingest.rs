@@ -6,7 +6,7 @@
 //!    stored events, the admission counters and the audit records, across
 //!    generic and power layouts, chunk-boundary batch sizes and CTR
 //!    counter wraparound.
-//! 2. **Allocation-free**: a counting global allocator shows the encrypted
+//! 2. **Allocation-free**: a per-thread counting allocator shows the encrypted
 //!    hot path performs no staging allocation — only the destination
 //!    uArray and its `Arc` wrapper, independent of payload size.
 //! 3. **Clean quota failure**: when the up-front page reservation fails,
@@ -17,40 +17,9 @@ use sbt_crypto::{AesCtr, MasterSecret};
 use sbt_dataplane::{DataPlane, DataPlaneConfig};
 use sbt_types::{Event, PowerEvent, TenantId};
 use sbt_tz::{Platform, PlatformConfig, World, WorldGuard};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: sbt_testalloc::CountingAllocator = sbt_testalloc::CountingAllocator;
 
 fn in_tee<R>(f: impl FnOnce() -> R) -> R {
     let _g = WorldGuard::enter(World::Secure);
@@ -285,13 +254,11 @@ fn encrypted_ingest_performs_no_staging_allocation() {
     for (slot, &n) in SIZES.iter().enumerate() {
         for round in 0..8u32 {
             let payload = make_payload(n, 100 + round);
-            let count_before = ALLOCATIONS.load(Ordering::Relaxed);
-            let bytes_before = ALLOCATED_BYTES.load(Ordering::Relaxed);
-            let out = in_tee(|| dp.ingress(&payload, true, false, 0)).unwrap();
-            let count = ALLOCATIONS.load(Ordering::Relaxed) - count_before;
-            let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes_before;
-            count_per_size[slot] = count_per_size[slot].min(count);
-            bytes_per_size[slot] = bytes_per_size[slot].min(bytes);
+            let (out, allocs) =
+                sbt_testalloc::count(|| in_tee(|| dp.ingress(&payload, true, false, 0)));
+            let out = out.unwrap();
+            count_per_size[slot] = count_per_size[slot].min(allocs.count);
+            bytes_per_size[slot] = bytes_per_size[slot].min(allocs.bytes);
             in_tee(|| dp.retire(out.opaque)).unwrap();
         }
     }

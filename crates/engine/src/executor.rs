@@ -677,8 +677,10 @@ mod tests {
 
         // Forced-steal phase: with the injector drained and every other
         // worker idle, one worker parks slow subtasks on its own deque and
-        // sleeps while holding them — the idle workers must steal from its
-        // front to make progress.
+        // holds them, without running any, until a steal is observed — the
+        // idle workers must steal from its front. The wait is a latch on
+        // the steal counter, not a sleep, so a loaded host only delays it;
+        // the deadline only keeps a broken executor from hanging the test.
         let before = exec.steals();
         let e2 = exec.clone();
         let holder = exec.spawn(move || {
@@ -690,7 +692,10 @@ mod tests {
                     })
                 })
                 .collect();
-            std::thread::sleep(Duration::from_millis(6));
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while e2.steals() == before && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
             subs.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
         });
         assert_eq!(holder.join(), Ok(28));

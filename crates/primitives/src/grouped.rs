@@ -7,11 +7,16 @@
 //! alternative to the hash tables commodity engines use, and it is
 //! insensitive to key skew.
 //!
+//! The order-statistic kernels (Median-per-key here, TopK-per-key in
+//! [`crate::topk`]) share `select_per_key`: each group's values are copied
+//! into one scratch buffer reused across groups and reduced there by
+//! selection, and the results go straight into one pre-sized `(key, value)`
+//! array, the layout the data plane stores.
+//!
 //! All functions in this module require their input to be sorted by key and
 //! debug-assert that property.
 
-use crate::sort::vector_sort_u64;
-use sbt_types::{Event, KeyAgg, KeyCount};
+use sbt_types::{Event, KeyAgg, KeyCount, KeyValue};
 
 #[inline]
 fn debug_assert_sorted_by_key(events: &[Event]) {
@@ -63,15 +68,40 @@ pub fn avg_per_key(sorted_events: &[Event]) -> Vec<KeyAgg> {
     sum_count_per_key(sorted_events)
 }
 
-/// Per-key median value (the `MedianPerKey` primitive). Ordered by key.
-pub fn median_per_key(sorted_events: &[Event]) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
+/// Reduce every run of equal keys to at most `per_group` values and emit
+/// them as `(key, value)` pairs, ordered by key. `reduce` gets the group's
+/// values in a scratch buffer and must leave at most `per_group` of them, in
+/// output order. A first pass sizes the output and the scratch buffer
+/// exactly, so a call allocates twice however many groups there are.
+pub(crate) fn select_per_key(
+    sorted_events: &[Event],
+    per_group: usize,
+    mut reduce: impl FnMut(&mut Vec<u32>),
+) -> Vec<KeyValue> {
+    let (mut out_len, mut max_group) = (0, 0);
+    for_each_group(sorted_events, |_, group| {
+        out_len += group.len().min(per_group);
+        max_group = max_group.max(group.len());
+    });
+    let mut out = Vec::with_capacity(out_len);
+    let mut scratch = Vec::with_capacity(max_group);
     for_each_group(sorted_events, |key, group| {
-        let mut values: Vec<u64> = group.iter().map(|e| e.value as u64).collect();
-        vector_sort_u64(&mut values);
-        out.push((key, values[(values.len() - 1) / 2] as u32));
+        scratch.clear();
+        scratch.extend(group.iter().map(|e| e.value));
+        reduce(&mut scratch);
+        out.extend(scratch.iter().map(|v| KeyValue::new(key, *v as u64)));
     });
     out
+}
+
+/// Per-key median value, the lower middle for even-sized groups (the
+/// `MedianPerKey` primitive). Ordered by key.
+pub fn median_per_key(sorted_events: &[Event]) -> Vec<KeyValue> {
+    select_per_key(sorted_events, 1, |values| {
+        let mid = (values.len() - 1) / 2;
+        values[0] = *values.select_nth_unstable(mid).1;
+        values.truncate(1);
+    })
 }
 
 /// Distinct keys present in the input (the `Unique` primitive). Ordered by
@@ -131,42 +161,41 @@ mod tests {
             Event::new(2, 4, 0),
             Event::new(2, 8, 0),
         ]);
-        assert_eq!(median_per_key(&events), vec![(1, 20), (2, 4)]);
+        assert_eq!(median_per_key(&events), vec![KeyValue::new(1, 20), KeyValue::new(2, 4)]);
     }
 
     proptest! {
+        // 4 keys make large groups, 2000 keys mostly singletons; values
+        // from 0..8 make duplicates; even-sized groups take the lower middle.
         #[test]
         fn grouped_aggregates_match_hash_reference(
-            pairs in proptest::collection::vec((0u32..40, 0u32..1000), 0..600),
+            pairs in proptest::collection::vec(
+                (0u32..2000, prop_oneof![0u32..8, any::<u32>()]), 0..600),
+            narrow in any::<bool>(),
         ) {
+            let key_space = if narrow { 4 } else { 2000 };
             let events: Vec<Event> =
-                pairs.iter().map(|(k, v)| Event::new(*k, *v, 0)).collect();
+                pairs.iter().map(|(k, v)| Event::new(k % key_space, *v, 0)).collect();
             let sorted_events = sorted(&events);
 
-            // Reference aggregation with a hash/ordered map.
-            let mut reference: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-            for (k, v) in &pairs {
-                let e = reference.entry(*k).or_insert((0, 0));
-                e.0 += *v as u64;
-                e.1 += 1;
+            // Reference grouping with an ordered map.
+            let mut reference: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+            for e in &events {
+                reference.entry(e.key).or_default().push(e.value);
             }
-
-            let aggs = sum_count_per_key(&sorted_events);
-            prop_assert_eq!(aggs.len(), reference.len());
-            for agg in &aggs {
-                let (sum, count) = reference[&agg.key];
-                prop_assert_eq!(agg.sum, sum);
-                prop_assert_eq!(agg.count, count);
+            let (mut aggs, mut counts, mut medians) = (Vec::new(), Vec::new(), Vec::new());
+            for (&key, values) in reference.iter_mut() {
+                let n = values.len() as u64;
+                aggs.push(KeyAgg::new(key, values.iter().map(|v| *v as u64).sum(), n));
+                counts.push(KeyCount::new(key, n));
+                values.sort_unstable();
+                medians.push(KeyValue::new(key, values[(values.len() - 1) / 2] as u64));
             }
-
-            let counts = count_per_key(&sorted_events);
-            for kc in &counts {
-                prop_assert_eq!(kc.count, reference[&kc.key].1);
-            }
-
-            let uniques = unique_keys(&sorted_events);
+            prop_assert_eq!(sum_count_per_key(&sorted_events), aggs);
+            prop_assert_eq!(count_per_key(&sorted_events), counts);
+            prop_assert_eq!(median_per_key(&sorted_events), medians);
             let expected_keys: Vec<u32> = reference.keys().copied().collect();
-            prop_assert_eq!(uniques, expected_keys);
+            prop_assert_eq!(unique_keys(&sorted_events), expected_keys);
         }
 
         #[test]

@@ -2,45 +2,38 @@
 //!
 //! TopK identifies the K largest values in a window; TopKPerKey does the
 //! same within each key group of a key-sorted array (the TopK benchmark of
-//! §9.2). Both are built on the vectorized sort kernel rather than a heap,
-//! matching the array-based design of the data plane.
+//! §9.2). Both rank by selection rather than by sorting everything: the
+//! values are partitioned around the K-th largest, the rest is dropped, and
+//! only the at most K survivors are sorted. TopKPerKey runs this once per
+//! run of equal keys through the grouped scan's shared scratch buffer
+//! ([`crate::grouped`]), so a window costs two allocations, not a few per
+//! key.
 
-use crate::sort::vector_sort_u64;
-use sbt_types::Event;
+use crate::grouped::select_per_key;
+use sbt_types::{Event, KeyValue};
+
+/// Keep the `k` largest of `values`, in descending order.
+fn keep_top_k(values: &mut Vec<u32>, k: usize) {
+    if k > 0 && values.len() > k {
+        values.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+    }
+    values.truncate(k);
+    values.sort_unstable_by(|a, b| b.cmp(a));
+}
 
 /// The `k` largest values in the window, in descending order. If the input
 /// has fewer than `k` events, all values are returned.
 pub fn top_k_by_value(events: &[Event], k: usize) -> Vec<u32> {
-    if k == 0 || events.is_empty() {
-        return Vec::new();
-    }
-    let mut values: Vec<u64> = events.iter().map(|e| e.value as u64).collect();
-    vector_sort_u64(&mut values);
-    values.iter().rev().take(k).map(|v| *v as u32).collect()
+    let mut values: Vec<u32> = events.iter().map(|e| e.value).collect();
+    keep_top_k(&mut values, k);
+    values
 }
 
-/// For each key in a key-sorted array, the `k` largest values in descending
-/// order. The output is ordered by key.
-pub fn top_k_per_key(sorted_events: &[Event], k: usize) -> Vec<(u32, Vec<u32>)> {
-    debug_assert!(
-        sorted_events.windows(2).all(|w| w[0].key <= w[1].key),
-        "top_k_per_key requires key-sorted input"
-    );
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < sorted_events.len() {
-        let key = sorted_events[start].key;
-        let mut end = start + 1;
-        while end < sorted_events.len() && sorted_events[end].key == key {
-            end += 1;
-        }
-        out.push((key, top_k_by_value(&sorted_events[start..end], k)));
-        start = end;
-    }
-    out
+/// For each key in a key-sorted array, its `k` largest values in
+/// descending order, as one `(key, value)` pair per value. The output is
+/// ordered by key.
+pub fn top_k_per_key(sorted_events: &[Event], k: usize) -> Vec<KeyValue> {
+    select_per_key(sorted_events, k, |values| keep_top_k(values, k))
 }
 
 #[cfg(test)]
@@ -48,6 +41,7 @@ mod tests {
     use super::*;
     use crate::sort::sort_events_by_key;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn evs(values: &[u32]) -> Vec<Event> {
         values.iter().map(|v| Event::new(0, *v, 0)).collect()
@@ -77,8 +71,8 @@ mod tests {
             Event::new(1, 40, 0),
             Event::new(2, 20, 0),
         ]);
-        let out = top_k_per_key(&events, 2);
-        assert_eq!(out, vec![(1, vec![50, 40]), (2, vec![30, 20])]);
+        let kv = KeyValue::new;
+        assert_eq!(top_k_per_key(&events, 2), vec![kv(1, 50), kv(1, 40), kv(2, 30), kv(2, 20)]);
     }
 
     #[test]
@@ -101,26 +95,27 @@ mod tests {
             prop_assert_eq!(got, expected);
         }
 
+        // 4 keys make groups larger than k, 2000 keys mostly smaller; values
+        // from 0..8 make duplicates.
         #[test]
         fn per_key_top_k_matches_reference(
-            pairs in proptest::collection::vec((0u32..20, any::<u32>()), 0..300),
-            k in 1usize..5,
+            pairs in collection::vec((0u32..2000, prop_oneof![0u32..8, any::<u32>()]), 0..600),
+            narrow in any::<bool>(),
+            k in 0usize..=16,
         ) {
-            let events: Vec<Event> = pairs.iter().map(|(key, v)| Event::new(*key, *v, 0)).collect();
-            let sorted = sort_events_by_key(&events);
-            let got = top_k_per_key(&sorted, k);
-            // Reference.
-            let mut by_key: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
-            for (key, v) in &pairs {
-                by_key.entry(*key).or_default().push(*v);
+            let key_space = if narrow { 4 } else { 2000 };
+            let events: Vec<Event> =
+                pairs.iter().map(|(key, v)| Event::new(key % key_space, *v, 0)).collect();
+            let mut by_key: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+            for e in &events {
+                by_key.entry(e.key).or_default().push(e.value);
             }
-            prop_assert_eq!(got.len(), by_key.len());
-            for (key, top) in got {
-                let mut expected = by_key[&key].clone();
-                expected.sort_unstable_by(|a, b| b.cmp(a));
-                expected.truncate(k);
-                prop_assert_eq!(top, expected);
+            let mut expected = Vec::new();
+            for (key, mut values) in by_key {
+                values.sort_unstable_by(|a, b| b.cmp(a));
+                expected.extend(values.into_iter().take(k).map(|v| KeyValue::new(key, v as u64)));
             }
+            prop_assert_eq!(top_k_per_key(&sort_events_by_key(&events), k), expected);
         }
     }
 }

@@ -5,43 +5,16 @@
 //!    identical counts and sums, identical quantiles — and every reported
 //!    quantile brackets the exact sorted-order quantile within the
 //!    log-bucket error bound (one sub-bucket, ≈3.1% relative).
-//! 2. **Allocation-free**: a counting global allocator (same harness as
-//!    `zero_copy_ingest.rs`) shows that recording into an existing
-//!    histogram performs zero allocations, at any value magnitude.
+//! 2. **Allocation-free**: a per-thread counting allocator
+//!    (`sbt_testalloc`) shows that recording into an existing histogram
+//!    performs zero allocations, at any value magnitude.
 
 use proptest::prelude::*;
 use sbt_telemetry::hist::{bucket_ceil, bucket_floor, bucket_index};
 use sbt_telemetry::LatencyHistogram;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: sbt_testalloc::CountingAllocator = sbt_testalloc::CountingAllocator;
 
 /// Exact reference quantile: the `ceil(q·n)`-th smallest sample.
 fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
@@ -119,18 +92,17 @@ fn recording_is_allocation_free() {
     h.record(3);
     h.record(1_000_000_000);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..10_000u64 {
-        h.record(i * 37); // spans exact and log-bucketed ranges
-        h.record(u64::MAX / (i + 1));
-    }
-    let snapshot_pre = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(snapshot_pre - before, 0, "record() allocated");
+    let ((), allocs) = sbt_testalloc::count(|| {
+        for i in 0..10_000u64 {
+            h.record(i * 37); // spans exact and log-bucketed ranges
+            h.record(u64::MAX / (i + 1));
+        }
+    });
+    assert_eq!(allocs.count, 0, "record() allocated");
 
     // Merging into an existing histogram is also allocation-free.
     let other = LatencyHistogram::new();
     other.record(55);
-    let before_merge = ALLOCATIONS.load(Ordering::Relaxed);
-    h.merge_from(&other);
-    assert_eq!(ALLOCATIONS.load(Ordering::Relaxed) - before_merge, 0, "merge_from() allocated");
+    let ((), allocs) = sbt_testalloc::count(|| h.merge_from(&other));
+    assert_eq!(allocs.count, 0, "merge_from() allocated");
 }

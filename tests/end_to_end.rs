@@ -62,41 +62,73 @@ fn winsum_end_to_end_matches_oracle_and_verifies() {
     verify(&engine);
 }
 
-#[test]
-fn topk_per_key_end_to_end_matches_oracle() {
-    let engine = Engine::new(
-        EngineConfig::for_variant(EngineVariant::Sbt, 4),
-        Pipeline::topk_benchmark(3).target_delay_ms(60_000).batch_events(4_000),
-    );
-    let chunks = synthetic_stream(2, 12_000, 50, 5);
-    let oracle: Vec<BTreeMap<u32, Vec<u32>>> = chunks
+/// Run a per-key pipeline over `chunks` and check every window's egress,
+/// `(key: u32, value: u64)` pairs in key-major order, against `oracle`
+/// applied to each key's values in arrival order.
+fn per_key_case(
+    pipeline: Pipeline,
+    chunks: Vec<sbt_workloads::datasets::StreamChunk>,
+    oracle: impl Fn(&mut Vec<u32>),
+) {
+    let engine = Engine::new(EngineConfig::for_variant(EngineVariant::Sbt, 4), pipeline);
+    let expected: Vec<BTreeMap<u32, Vec<u32>>> = chunks
         .iter()
         .map(|c| {
             let mut per_key: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
             for e in &c.events {
                 per_key.entry(e.key).or_default().push(e.value);
             }
-            for values in per_key.values_mut() {
-                values.sort_unstable_by(|a, b| b.cmp(a));
-                values.truncate(3);
-            }
+            per_key.values_mut().for_each(&oracle);
             per_key
         })
         .collect();
     drive(&engine, chunks);
     let plains = decrypt_all(&engine);
-    assert_eq!(plains.len(), 2);
+    assert_eq!(plains.len(), expected.len());
     for (i, plain) in plains.iter().enumerate() {
-        // Results are (key: u32, value: u64) pairs, key-major order.
         let mut got: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for chunk in plain.chunks_exact(12) {
             let key = u32::from_le_bytes(chunk[0..4].try_into().unwrap());
             let value = u64::from_le_bytes(chunk[4..12].try_into().unwrap()) as u32;
             got.entry(key).or_default().push(value);
         }
-        assert_eq!(got, oracle[i], "window {i}");
+        assert_eq!(got, expected[i], "window {i}");
     }
     verify(&engine);
+}
+
+fn top_k(k: usize) -> impl Fn(&mut Vec<u32>) {
+    move |values| {
+        values.sort_unstable_by(|a, b| b.cmp(a));
+        values.truncate(k);
+    }
+}
+
+#[test]
+fn topk_per_key_end_to_end_matches_oracle() {
+    // 50 keys: every group is larger than K.
+    let pipeline = Pipeline::topk_benchmark(3).target_delay_ms(60_000).batch_events(4_000);
+    per_key_case(pipeline, synthetic_stream(2, 12_000, 50, 5), top_k(3));
+}
+
+#[test]
+fn topk_per_key_small_groups_end_to_end_matches_oracle() {
+    // The TopK benchmark's window shape: 1 000 keys over 2 500 events, so
+    // most groups are smaller than K = 10.
+    let pipeline = Pipeline::topk_benchmark(10).target_delay_ms(60_000).batch_events(2_500);
+    per_key_case(pipeline, synthetic_stream(3, 2_500, 1_000, 7), top_k(10));
+}
+
+#[test]
+fn median_by_key_end_to_end_matches_oracle() {
+    let pipeline = Pipeline::new("Median")
+        .then(Operator::MedianByKey)
+        .target_delay_ms(60_000)
+        .batch_events(3_000);
+    per_key_case(pipeline, synthetic_stream(2, 6_000, 40, 11), |values| {
+        values.sort_unstable();
+        *values = vec![values[(values.len() - 1) / 2]];
+    });
 }
 
 #[test]
